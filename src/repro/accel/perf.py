@@ -105,16 +105,6 @@ def memoization_counters() -> dict[str, tuple[int, int]]:
     }
 
 
-def render_memoization_line() -> str:
-    """One perf-counter line summarising memoisation-cache hit rates."""
-    parts = []
-    for name, (hits, misses) in memoization_counters().items():
-        total = hits + misses
-        rate = f"{hits / total:.1%}" if total else "n/a"
-        parts.append(f"{name} {rate} ({hits:,}/{total:,})")
-    return "memo caches: " + "  ".join(parts)
-
-
 def tier_counters() -> dict[str, dict[str, int]]:
     """Per-op execution-tier run counts (see :mod:`repro.accel.tiers`).
 

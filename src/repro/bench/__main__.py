@@ -11,6 +11,7 @@ Usage::
     python -m repro.bench faults               # fault degradation curve
     python -m repro.bench fig11a --fault-rate 0.01
                                                # inject per-message faults
+    python -m repro.bench transport            # RoCC-vs-PCIe crossover
 """
 
 from __future__ import annotations
@@ -52,10 +53,10 @@ def main(argv: list[str]) -> int:
                else args.figures)
     plan = (FaultPlan(seed=args.fault_seed, rate=args.fault_rate)
             if args.fault_rate > 0 else None)
-    # The one jobs/cache/faults entry point, shared with scripts/
-    # bench_speed.py: run_many reads these options and the shared pool
-    # initializer (repro.bench.pool.warm_worker) installs them in
-    # every worker process.
+    # The one jobs/cache/faults entry point: run_many reads these
+    # options and the shared pool initializer
+    # (repro.bench.pool.warm_worker) installs them in every worker
+    # process.
     set_options(jobs=args.jobs, disk_cache=not args.no_cache,
                 fault_plan=plan)
     for target in targets:

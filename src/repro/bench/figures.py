@@ -18,6 +18,8 @@ from repro.bench.report import (
     geomean,
     serving_table,
     speedup_summary,
+    transport_crossover_table,
+    transport_table,
 )
 from repro.faults import FaultPlan
 from repro.fleet.cycle_model import CycleAttributionModel
@@ -341,6 +343,19 @@ def fleet(shard_counts: tuple[int, ...] = FLEET_SHARDS,
     return table
 
 
+def transport() -> str:
+    """RoCC-vs-PCIe attach points: per-op transport cycles over message
+    size x batch size, and the batch at which PCIe overtakes RoCC for
+    each message size (docs/MODEL.md, "Attach points")."""
+    from repro.bench.transport import crossover_batches, sweep_transports
+    sections = []
+    for operation in ("deserialize", "serialize"):
+        rows = sweep_transports(operation=operation)
+        sections.append(transport_table(rows))
+        sections.append(transport_crossover_table(crossover_batches(rows)))
+    return "\n\n".join(sections)
+
+
 def section53() -> str:
     """ASIC frequency/area with per-component breakdowns."""
     model = AsicModel()
@@ -375,4 +390,5 @@ ALL_FIGURES = {
     "faults": fault_degradation,
     "serving": serving,
     "fleet": fleet,
+    "transport": transport,
 }

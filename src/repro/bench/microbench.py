@@ -15,18 +15,9 @@ one protobuf field type, pre-populated into a batch:
   the paper's largest bytes-field buckets.
 - ``bool-SUB``, ``double-SUB``, ``string-SUB``: one sub-message field per
   message, exercising sub-message allocation/context handling.
-
-A separate host-time microbenchmark (:func:`time_codegen_microbench`)
-times the accelerator simulation's two execution tiers -- the schema-
-specialized codegen kernels vs the interpretive FSM -- per field type.
-Unlike everything above it measures *wall-clock seconds on the
-simulation host*, not modeled cycles (those are bit-identical across
-tiers by construction).
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.bench.runner import Workload
 from repro.proto.descriptor import FieldDescriptor, MessageDescriptor, Schema
@@ -209,84 +200,6 @@ def build_microbench(name: str, batch: int = DEFAULT_BATCH) -> Workload:
     raise ValueError(f"unknown microbenchmark {name!r}")
 
 
-#: Field-type cases of the codegen-vs-interpreter host-time benchmark.
-CODEGEN_CASES = ("varint", "bytes", "submsg")
-
-
-def build_codegen_case(case: str, batch: int = DEFAULT_BATCH) -> Workload:
-    """One workload per codegen microbenchmark field-type case."""
-    if case == "varint":
-        descriptor = _scalar_message_type(
-            "cg-varint", FieldType.UINT64, _FIELDS_PER_MESSAGE,
-            repeated=False)
-        return Workload("codegen-varint", descriptor,
-                        _populate_varint(descriptor, 5, False, batch))
-    if case == "bytes":
-        descriptor = _scalar_message_type("cg-bytes", FieldType.BYTES, 1,
-                                          repeated=False)
-        messages = []
-        for index in range(batch):
-            message = descriptor.new_message()
-            message["f1"] = bytes((index + i) & 0xFF for i in range(512))
-            messages.append(message)
-        return Workload("codegen-bytes", descriptor, messages)
-    if case == "submsg":
-        outer, _ = _sub_message_type("CgSub", FieldType.STRING)
-        return Workload("codegen-submsg", outer,
-                        _populate_sub(outer, FieldType.STRING, batch))
-    raise ValueError(f"unknown codegen case {case!r}")
-
-
-def time_codegen_microbench(cases=CODEGEN_CASES,
-                            batch: int = DEFAULT_BATCH,
-                            repeat: int = 3) -> list[dict]:
-    """Wall-clock host seconds per tier, per field-type case.
-
-    Returns one row per (case, operation) with ``interp_seconds``,
-    ``codegen_seconds`` (best of ``repeat``), and ``speedup``.  Each
-    tier gets a warm-up pass first so kernel compilation and ADT-cache
-    population are excluded from the timed region.
-    """
-    from repro.accel.driver import ProtoAccelerator
-    rows = []
-    for case in cases:
-        workload = build_codegen_case(case, batch)
-        buffers = workload.wire_buffers()
-        for operation in ("deserialize", "serialize"):
-            seconds = {}
-            for fast_path in ("interp", "codegen"):
-                accel = ProtoAccelerator(fast_path=fast_path)
-                accel.register_types([workload.descriptor])
-                if operation == "deserialize":
-                    def body():
-                        for buffer in buffers:
-                            accel.deserialize(workload.descriptor, buffer,
-                                              auto_renew_arena=True)
-                else:
-                    addresses = [accel.load_object(m)
-                                 for m in workload.messages]
-
-                    def body():
-                        for addr in addresses:
-                            accel.serialize(workload.descriptor, addr)
-                body()  # warm-up: compile kernels, fill caches
-                best = float("inf")
-                for _ in range(repeat):
-                    start = time.perf_counter()
-                    body()
-                    best = min(best, time.perf_counter() - start)
-                seconds[fast_path] = best
-            rows.append({
-                "case": case,
-                "operation": operation,
-                "interp_seconds": seconds["interp"],
-                "codegen_seconds": seconds["codegen"],
-                "speedup": (seconds["interp"] / seconds["codegen"]
-                            if seconds["codegen"] else float("inf")),
-            })
-    return rows
-
-
 def batch_bench_names() -> list[str]:
     """The regular micro grid: every Figure 11 case whose schema the
     batch-shape classifier accepts (flat numeric records -- the varint
@@ -299,68 +212,3 @@ def batch_bench_names() -> list[str]:
         if batchwire.batch_eligible(workload.descriptor):
             names.append(name)
     return names
-
-
-def time_batch_microbench(names=None, batch: int = DEFAULT_BATCH,
-                          repeat: int = 3) -> list[dict]:
-    """Wall-clock host seconds per tier over whole-batch driver calls.
-
-    Times ``deserialize_batch``/``serialize_batch`` (the entry points
-    the batch engine hooks) on the interp and batch tiers.  Returns one
-    row per (case, operation) with best-of-``repeat`` seconds, the
-    speedup, and the batch tier's vectorized/fallback message counts
-    for one call.  Modeled cycles are bit-identical across tiers (the
-    differential suite asserts it); this measures simulation-host time.
-    """
-    from repro.accel import tiers
-    from repro.accel.driver import ProtoAccelerator
-    rows = []
-    for name in (batch_bench_names() if names is None else names):
-        workload = build_microbench(name, batch=batch)
-        buffers = workload.wire_buffers()
-        for operation in ("deserialize", "serialize"):
-            seconds = {}
-            vectorized = fallbacks = 0
-            for fast_path in ("interp", "batch"):
-                accel = ProtoAccelerator(fast_path=fast_path)
-                accel.register_types([workload.descriptor])
-                if operation == "deserialize":
-                    def body():
-                        accel.reset_arenas()
-                        accel.deserialize_batch(workload.descriptor,
-                                                buffers)
-                else:
-                    addresses = [accel.load_object(m)
-                                 for m in workload.messages]
-
-                    def body():
-                        accel.reset_arenas()
-                        accel.serialize_batch(workload.descriptor,
-                                              addresses)
-                body()  # warm-up: kernels, plans, TLB, ADT cache
-                if fast_path == "batch":
-                    op = "deser" if operation == "deserialize" else "ser"
-                    before = tiers.counters()[op]
-                    body()
-                    after = tiers.counters()[op]
-                    vectorized = (after["batch-vector"]
-                                  - before["batch-vector"])
-                    fallbacks = (after["batch-scalar"]
-                                 - before["batch-scalar"])
-                best = float("inf")
-                for _ in range(repeat):
-                    start = time.perf_counter()
-                    body()
-                    best = min(best, time.perf_counter() - start)
-                seconds[fast_path] = best
-            rows.append({
-                "case": name,
-                "operation": operation,
-                "interp_seconds": seconds["interp"],
-                "batch_seconds": seconds["batch"],
-                "speedup": (seconds["interp"] / seconds["batch"]
-                            if seconds["batch"] else float("inf")),
-                "vectorized": vectorized,
-                "fallbacks": fallbacks,
-            })
-    return rows

@@ -30,8 +30,7 @@ def effective_cores() -> int:
     """CPUs this process may actually schedule on (affinity-aware).
 
     Wall-clock speedup from host parallelism is physically bounded by
-    this number; the fleet scaling gate uses it to decide whether a
-    measured-speedup floor is meaningful on the current machine.
+    this number, so benchmark results record it with their environment.
     """
     try:
         return len(os.sched_getaffinity(0)) or 1

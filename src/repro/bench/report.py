@@ -188,77 +188,6 @@ def fleet_table(rows: Sequence[dict], width: int = 40) -> str:
     return "\n".join(lines)
 
 
-def resize_table(rows: Sequence[dict]) -> str:
-    """Render the resized fleet replays (ISSUE 8 acceptance figure).
-
-    ``rows`` come from :func:`repro.serve.replay.resize_row`: one dict
-    per (workload, offered load) replay across an online ring resize.
-    The two boolean columns *are* the acceptance criteria -- ``drops``
-    must read 0 (per-tenant accounting identity) and ``bit-id`` must
-    read yes (unmoved tenants charged identically to the no-resize
-    replay).
-    """
-    if not rows:
-        raise ValueError("no resize rows to render")
-    header = (f"{'workload':<9} {'interarrival':>12} {'offered':>8} "
-              f"{'ok':>6} {'migr':>5} {'drops':>5} {'p99 cyc':>9} "
-              f"{'moved':>5} {'defl':>5} {'bit-id':>6}")
-    lines = ["resized fleet replay (online 2 -> 3 shard grow, "
-             "mid-stream)", header, "-" * len(header)]
-    for row in rows:
-        drops = row["offered"] - (row["shed"] + row["failed"]
-                                  + row["succeeded"] + row["migrated"])
-        lines.append(
-            f"{row['workload']:<9} {row['interarrival_cycles']:>12.0f} "
-            f"{row['offered']:>8,} {row['succeeded']:>6,} "
-            f"{row['migrated']:>5,} {drops:>5,} "
-            f"{row['p99_cycles']:>9.0f} "
-            f"{len(row['moved_tenants']):>5} "
-            f"{row['warmup_deflections']:>5,} "
-            f"{'yes' if row['unmoved_bit_identical'] else 'NO':>6}")
-    return "\n".join(lines)
-
-
-def scaling_table(rows: Sequence[dict], width: int = 30) -> str:
-    """Render the host-parallel scaling rows (``--fleet --jobs N``).
-
-    ``rows`` come from :func:`repro.bench.fleet.measure_scaling`: one
-    row per jobs level over the same seeded replay.  ``bit-id`` is the
-    acceptance column -- every parallel row's charging digest must
-    equal the serial one.  ``ideal`` is the LPT bound the shard balance
-    supports; ``meas`` approaches it only when the machine has at least
-    ``jobs`` usable cores (the ``cores`` column says what this run
-    could use).
-    """
-    if not rows:
-        raise ValueError("no scaling rows to render")
-    header = (f"{'jobs':>4} {'mode':<9} {'shards':>6} {'wall s':>8} "
-              f"{'meas x':>7} {'ideal x':>8} {'cores':>5} "
-              f"{'deviations':>10} {'bit-id':>6}")
-    first = rows[0]
-    lines = [f"host-parallel scaling ({first['messages']:,} messages, "
-             f"{first['tenants']} tenants, one worker per shard)",
-             header, "-" * len(header)]
-    for row in rows:
-        ideal = row.get("ideal_speedup")
-        ideal_text = "--".rjust(8) if ideal is None else f"{ideal:>7.2f}x"
-        lines.append(
-            f"{row['jobs']:>4} {row['mode']:<9} {row['shards']:>6} "
-            f"{row['wall_seconds']:>8.2f} {row['speedup']:>6.2f}x "
-            f"{ideal_text} {row['cores']:>5} "
-            f"{row['route_deviations']:>10,} "
-            f"{'yes' if row['cycles_identical'] else 'NO':>6}")
-    peak = max((row.get("ideal_speedup") or 1.0) for row in rows)
-    lines.append("")
-    lines.append("ideal (LPT) speedup by jobs:")
-    for row in rows:
-        value = row.get("ideal_speedup") or 1.0
-        share = value / peak if peak else 0.0
-        bar = "*" * max(1, round(share * width))
-        lines.append(f"{row['jobs']:>4} job(s) {bar} {value:.2f}x")
-    return "\n".join(lines)
-
-
 def speedup_summary(results: Sequence[BenchmarkResult]) -> dict[str, float]:
     """Geomean accelerator speedups vs each baseline (the paper's
     headline "NxM" numbers)."""
@@ -324,64 +253,4 @@ def transport_crossover_table(crossovers: Sequence[dict]) -> str:
             f"{row['size']:>7} {crossover:>16} "
             f"{row['rocc_per_op_at_max_batch']:>13.2f} "
             f"{row['pcie_per_op_at_max_batch']:>13.2f}")
-    return "\n".join(lines)
-
-
-def codegen_speedup_table(rows: Sequence[dict]) -> str:
-    """Render the codegen-vs-interpreter host-time microbenchmark.
-
-    ``rows`` come from :func:`repro.bench.microbench.
-    time_codegen_microbench`: one dict per (field-type case, operation)
-    with best-of-N wall-clock seconds on each execution tier.  These are
-    *simulation host* seconds -- modeled accelerator cycles are
-    bit-identical across tiers, which is the point: codegen buys wall
-    clock, not cycles.
-    """
-    if not rows:
-        raise ValueError("no codegen microbenchmark rows to render")
-    header = (f"{'case':<10} {'operation':<12} {'interp s':>10} "
-              f"{'codegen s':>10} {'speedup':>9}")
-    lines = ["codegen vs interpreter (host wall-clock, modeled cycles "
-             "identical)", header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['case']:<10} {row['operation']:<12} "
-            f"{row['interp_seconds']:>10.4f} "
-            f"{row['codegen_seconds']:>10.4f} "
-            f"{row['speedup']:>8.2f}x")
-    lines.append("-" * len(header))
-    overall = geomean(row["speedup"] for row in rows)
-    lines.append(f"{'geomean':<23} {'':>10} {'':>10} {overall:>8.2f}x")
-    return "\n".join(lines)
-
-
-def batch_speedup_table(rows: Sequence[dict]) -> str:
-    """Render the batch-vs-interpreter whole-batch microbenchmark.
-
-    ``rows`` come from :func:`repro.bench.microbench.
-    time_batch_microbench`: one dict per (case, operation) with
-    best-of-N host seconds per tier plus the batch tier's
-    vectorized/fallback message counts for one call.  Modeled cycles
-    are bit-identical across tiers; the batch tier buys wall clock by
-    executing whole conforming batches per numpy call.
-    """
-    if not rows:
-        raise ValueError("no batch microbenchmark rows to render")
-    header = (f"{'case':<12} {'operation':<12} {'interp s':>10} "
-              f"{'batch s':>10} {'speedup':>9}  {'vec/fb':>7}")
-    lines = ["batch vs interpreter (host wall-clock, modeled cycles "
-             "identical)", header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row['case']:<12} {row['operation']:<12} "
-            f"{row['interp_seconds']:>10.4f} "
-            f"{row['batch_seconds']:>10.4f} "
-            f"{row['speedup']:>8.2f}x  "
-            f"{row['vectorized']:>3}/{row['fallbacks']}")
-    lines.append("-" * len(header))
-    for operation in ("deserialize", "serialize"):
-        overall = geomean(row["speedup"] for row in rows
-                          if row["operation"] == operation)
-        lines.append(f"{'geomean ' + operation:<25} {'':>10} {'':>10} "
-                     f"{overall:>8.2f}x")
     return "\n".join(lines)

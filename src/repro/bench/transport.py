@@ -30,11 +30,6 @@ from repro.soc.transport import TRANSPORTS
 SWEEP_SIZES = (16, 32, 64, 128, 256, 512, 1024)
 SWEEP_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
-#: CI smoke grid: enough points to exercise the crossover and the
-#: monotone-amortisation gate without the full sweep's runtime.
-SMOKE_SIZES = (32, 128, 512)
-SMOKE_BATCHES = (1, 8, 64, 256)
-
 
 def build_sized_workload(size: int, batch: int) -> Workload:
     """A batch of single-string messages with ``size`` payload bytes.
@@ -132,28 +127,3 @@ def crossover_batches(rows: Sequence[dict]) -> list[dict]:
             "max_batch": largest["batch"],
         })
     return out
-
-
-def amortization_violations(rows: Sequence[dict]) -> list[dict]:
-    """Cells where PCIe per-op transport cost *rises* with batch size.
-
-    Doubling the batch must never increase the amortised PCIe cost per
-    operation at a fixed message size -- the fixed doorbell/DMA/interrupt
-    charges only spread thinner.  Returns the offending cell pairs
-    (empty means the monotone-amortisation gate passes).
-    """
-    violations = []
-    for size in sorted({row["size"] for row in rows}):
-        cells = sorted((r for r in rows if r["size"] == size),
-                       key=lambda r: r["batch"])
-        for before, after in zip(cells, cells[1:]):
-            if (after["pcie_transport_per_op"]
-                    > before["pcie_transport_per_op"] + 1e-9):
-                violations.append({
-                    "size": size,
-                    "batch_before": before["batch"],
-                    "batch_after": after["batch"],
-                    "per_op_before": before["pcie_transport_per_op"],
-                    "per_op_after": after["pcie_transport_per_op"],
-                })
-    return violations

@@ -46,7 +46,6 @@ reshard machinery could fire.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -97,9 +96,6 @@ class ShardResult:
     #: fabric would have consulted cross-shard fallback); bit-identity
     #: to serial is guaranteed when this is zero fleet-wide.
     route_deviations: int
-    #: CPU seconds this worker spent building + replaying the shard --
-    #: the deterministic input to the bench's ideal-speedup figure.
-    busy_seconds: float
 
 
 def build_shard(spec: ShardSpec) -> tuple[FabricShard, TenantRegistry]:
@@ -134,7 +130,6 @@ def execute_shard(spec: ShardSpec,
     tick (a no-op on a static fabric) and cross-shard fallback (counted
     as ``route_deviations`` instead; see the module docstring).
     """
-    started = time.process_time()
     shard, registry = build_shard(spec)
     outcomes: list[tuple[int, CallOutcome]] = []
     tenant_sheds: dict[str, int] = {}
@@ -176,8 +171,7 @@ def execute_shard(spec: ShardSpec,
         tenant_sheds=tenant_sheds,
         watchdog_aborts=shard.server.watchdog_aborts,
         health=shard.server.health.state.value,
-        route_deviations=route_deviations,
-        busy_seconds=time.process_time() - started)
+        route_deviations=route_deviations)
 
 
 def _worker_entry(payload: tuple) -> ShardResult:
@@ -214,7 +208,7 @@ class ParallelReplayResult:
     routing: dict[str, int]
     jobs: int
     #: Fabric width; shards the ring sent no calls to spawn no worker
-    #: (they report a fresh-server "healthy" and zero busy seconds).
+    #: (they report a fresh-server "healthy").
     shards: int = 0
 
     #: Matches ServingFabric's attributes for fleet_row.
@@ -274,15 +268,6 @@ class ParallelReplayResult:
     @property
     def route_deviations(self) -> int:
         return sum(r.route_deviations for r in self.shard_results)
-
-    @property
-    def busy_seconds(self) -> list[float]:
-        """Per-shard worker CPU seconds, in shard order."""
-        by_index = self._by_index()
-        width = max(self.shards, *(i + 1 for i in by_index), 0) \
-            if by_index else self.shards
-        return [by_index[i].busy_seconds if i in by_index else 0.0
-                for i in range(width)]
 
     def tenant_stats(self, tenant: str) -> ServeStats:
         for result in self.shard_results:

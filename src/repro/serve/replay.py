@@ -23,8 +23,9 @@ open-loop arrival process with deterministic seeds:
   (``tests/serve/test_fleet_replay.py``).
 
 ``workload="echo"`` swaps the fleet templates for per-tenant copies of
-the PR 3 Echo schema -- the acceptance workload for the 1 -> 4 shard
-p99/throughput curves in ``BENCH_fleet.json``.
+the Echo schema -- the workload whose p99/throughput curves must
+improve monotonically from 1 to 4 shards (``python -m repro.bench
+fleet``; gated in ``tests/serve/test_fleet_replay.py``).
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ class TestFastFigures:
         expected = {"fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
                     "fig11a", "fig11b", "fig11c", "fig11d", "sec5.1.3",
                     "fig12", "fig13", "sec5.3", "faults", "serving",
-                    "fleet"}
+                    "fleet", "transport"}
         assert set(ALL_FIGURES) == expected
 
 

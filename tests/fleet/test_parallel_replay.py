@@ -146,4 +146,3 @@ def test_parallel_refuses_reshardable_fabric():
 
 def test_healths_cover_all_shards(parallel):
     assert len(parallel.healths) == _POLICY.shards
-    assert len(parallel.busy_seconds) == _POLICY.shards

@@ -12,6 +12,7 @@ differ (more shards = shorter waits; that is the point of sharding).
 
 import pytest
 
+from repro.bench.fleet import charging_signature
 from repro.serve import (
     FabricPolicy,
     FleetReplaySpec,
@@ -21,15 +22,11 @@ from repro.serve import (
     generate_calls,
     replay_through_fabric,
     replay_through_server,
+    sweep_fleet,
 )
 
 _SPEC = FleetReplaySpec(messages=1_000, interarrival_cycles=2_500.0,
                         seed=424242, workload="fleet")
-
-
-def _charging_signature(outcomes):
-    return [(o.status, o.response, o.accel_cycles, o.cpu_cycles)
-            for o in outcomes]
 
 
 @pytest.fixture(scope="module")
@@ -57,8 +54,7 @@ def test_fabric_bit_identical_to_single_node(shards, calls, reference):
         FabricPolicy(shards=shards, serve=REPLAY_SERVE_POLICY), _SPEC)
     outcomes = replay_through_fabric(fabric, calls)
 
-    assert _charging_signature(outcomes) == _charging_signature(
-        ref_outcomes)
+    assert charging_signature(outcomes) == charging_signature(ref_outcomes)
     # Total cycle bill, summed in arrival order on both sides: exact.
     assert (sum(o.accel_cycles for o in outcomes)
             == sum(o.accel_cycles for o in ref_outcomes))
@@ -80,3 +76,19 @@ def test_replay_covers_the_template_mix(calls):
     assert len(templates) > 1
     tenants_seen = {call.tenant for call in calls}
     assert len(tenants_seen) == _SPEC.tenants
+
+
+def test_echo_scales_monotonically_with_shard_count():
+    """At every offered load, adding shards never raises the p99 of
+    admitted calls and never lowers delivered throughput.  Arrivals are
+    seeded on the simulated clock, so the comparison is exact."""
+    rows = sweep_fleet((1, 2, 4), (1_000.0, 400.0),
+                       FleetReplaySpec(messages=150, workload="echo"))
+    for load in (1_000.0, 400.0):
+        curve = sorted((r for r in rows if r["interarrival_cycles"] == load),
+                       key=lambda r: r["shards"])
+        assert [r["shards"] for r in curve] == [1, 2, 4]
+        for thin, wide in zip(curve, curve[1:]):
+            assert wide["p99_cycles"] <= thin["p99_cycles"], (load, wide)
+            assert (wide["throughput_per_mcycle"]
+                    >= thin["throughput_per_mcycle"]), (load, wide)
