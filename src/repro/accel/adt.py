@@ -216,6 +216,8 @@ class AdtBuilder:
         self.layouts = layout_cache
         self._addresses: dict[int, int] = {}
         self._descriptors: dict[int, MessageDescriptor] = {}
+        #: End address of the highest ADT block allocated so far.
+        self.top = 0
         self.template_hits = 0
         self.template_misses = 0
 
@@ -226,6 +228,10 @@ class AdtBuilder:
             raise KeyError(
                 f"no ADT built for {descriptor.full_name}; call build() "
                 "with its schema first") from None
+
+    def has_adt(self, descriptor: MessageDescriptor) -> bool:
+        """True once :meth:`build` has covered ``descriptor``."""
+        return id(descriptor) in self._addresses
 
     def descriptor_for(self, adt_addr: int) -> MessageDescriptor:
         return self._descriptors[adt_addr]
@@ -252,8 +258,9 @@ class AdtBuilder:
         for descriptor in ordered:
             if id(descriptor) in self._addresses:
                 continue
-            addr = self.memory.allocate(adt_size_bytes(descriptor),
-                                        alignment=64)
+            size = adt_size_bytes(descriptor)
+            addr = self.memory.allocate(size, alignment=64)
+            self.top = max(self.top, addr + size)
             self._addresses[id(descriptor)] = addr
             self._descriptors[addr] = descriptor
         for descriptor in ordered:

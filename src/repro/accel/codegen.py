@@ -89,7 +89,7 @@ _STRINGISH = frozenset({FieldType.STRING, FieldType.BYTES})
 # Code cache (bounded LRU, keyed by ADT fingerprint + config/timing reprs)
 # ---------------------------------------------------------------------------
 
-CODE_CACHE_CAPACITY = 64
+CODE_CACHE_CAPACITY = 256
 
 _MISS = object()
 

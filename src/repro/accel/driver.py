@@ -581,8 +581,12 @@ class ProtoAccelerator:
 
     def load_object(self, message: Message) -> int:
         """Materialise ``message`` as a C++ object image on the software
-        heap (the state an application builds up before serializing)."""
-        self.adts.build([message.descriptor])
+        heap (the state an application builds up before serializing).
+
+        A type without an ADT gets one here; a registered type's ADT is
+        left as it is, which also keeps the ADT decode cache warm."""
+        if not self.adts.has_adt(message.descriptor):
+            self.adts.build([message.descriptor])
         return write_message_image(self.memory, self.memory.allocate,
                                    message, self.layouts)
 
@@ -789,11 +793,13 @@ class ProtoAccelerator:
     def end_pure_call(self, mark: int) -> None:
         """Close a pure-charging window: reclaim the arenas and roll
         the software heap (wire buffers, object images) back to
-        ``mark``.  If an arena was renewed inside the window the heap
-        is left alone -- the live arena sits above the mark."""
+        ``mark``.  If an arena was renewed or an ADT built inside the
+        window the heap is left alone -- the live arena or ADT sits
+        above the mark."""
         self.reset_arenas()
         if (self._deser_arena.base >= mark
-                or self._ser_arena.data_base >= mark):
+                or self._ser_arena.data_base >= mark
+                or self.adts.top > mark):
             return
         self.memory.heap_release(mark)
 

@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.accel import codegen
+from repro.accel.driver import DESER_BATCH_CACHE, SER_BATCH_CACHE
 from repro.bench.figures import ALL_FIGURES, figure2, figure7, section53
+from repro.bench.harness import WorkloadSpec, run_spec
+from repro.bench.microbench import alloc_bench_names, nonalloc_bench_names
 from repro.bench.report import ascii_bar_chart
 from repro.bench.runner import BenchmarkResult, SystemResult
+from repro.hyperprotobench import bench_names
 
 
 class TestFastFigures:
@@ -28,6 +33,31 @@ class TestFastFigures:
                     "fig12", "fig13", "sec5.3", "faults", "serving",
                     "fleet", "transport"}
         assert set(ALL_FIGURES) == expected
+
+
+def test_second_figure_pass_compiles_no_kernels():
+    """The Fig 11-13 workloads fit the kernel code cache together, so
+    regenerating them a second time compiles nothing."""
+    names = [("micro", name)
+             for name in nonalloc_bench_names() + alloc_bench_names()]
+    names += [("hyper", name) for name in bench_names()]
+    specs = [WorkloadSpec(kind, name, operation, 1)
+             for kind, name in names
+             for operation in ("deserialize", "serialize")]
+
+    def regenerate():
+        # Forget memoised cycles so every spec runs its kernels again.
+        DESER_BATCH_CACHE.clear()
+        SER_BATCH_CACHE.clear()
+        for spec in specs:
+            run_spec(spec, disk_cache=False, faults=None,
+                     fast_path="codegen", transport="rocc")
+
+    regenerate()
+    _, misses, entries, capacity = codegen.cache_counters()
+    assert entries <= capacity
+    regenerate()
+    assert codegen.cache_counters()[1] == misses
 
 
 class TestCli:

@@ -10,7 +10,12 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from repro.proto.descriptor import FieldDescriptor, MessageDescriptor, Schema
+from repro.proto.descriptor import (
+    EnumDescriptor,
+    FieldDescriptor,
+    MessageDescriptor,
+    Schema,
+)
 from repro.proto.message import Message
 from repro.proto.types import FieldType, Label, is_packable
 
@@ -20,6 +25,12 @@ SCALAR_TYPES = [
     FieldType.FIXED32, FieldType.FIXED64, FieldType.SFIXED32,
     FieldType.SFIXED64, FieldType.BOOL, FieldType.STRING, FieldType.BYTES,
 ]
+
+#: Every non-message field type, enums included (object-image tests).
+IMAGE_TYPES = SCALAR_TYPES + [FieldType.ENUM]
+
+#: The enum type behind every ENUM field drawn here.
+COLOR = EnumDescriptor("Color", {"RED": 0, "GREEN": 1, "BLUE": 7})
 
 _INT_BOUNDS = {
     FieldType.INT32: (-(2**31), 2**31 - 1),
@@ -32,17 +43,22 @@ _INT_BOUNDS = {
     FieldType.FIXED32: (0, 2**32 - 1),
     FieldType.UINT64: (0, 2**64 - 1),
     FieldType.FIXED64: (0, 2**64 - 1),
+    FieldType.ENUM: (-(2**31), 2**31 - 1),
 }
 
 
-def value_strategy(field_type: FieldType) -> st.SearchStrategy:
-    """Values legal for one scalar field type."""
+def value_strategy(field_type: FieldType,
+                   allow_nan: bool = False) -> st.SearchStrategy:
+    """Values legal for one scalar field type (``allow_nan`` adds NaN and
+    the infinities to float/double)."""
     if field_type is FieldType.BOOL:
         return st.booleans()
     if field_type is FieldType.DOUBLE:
-        return st.floats(allow_nan=False, allow_infinity=False, width=64)
+        return st.floats(allow_nan=allow_nan, allow_infinity=allow_nan,
+                         width=64)
     if field_type is FieldType.FLOAT:
-        return st.floats(allow_nan=False, allow_infinity=False, width=32)
+        return st.floats(allow_nan=allow_nan, allow_infinity=allow_nan,
+                         width=32)
     if field_type is FieldType.STRING:
         return st.text(max_size=64)
     if field_type is FieldType.BYTES:
@@ -55,14 +71,15 @@ def value_strategy(field_type: FieldType) -> st.SearchStrategy:
 def field_descriptors(draw, number: int,
                       allow_message: bool = False,
                       sub_type_name: str | None = None,
-                      allow_oneof: bool = False) -> FieldDescriptor:
+                      allow_oneof: bool = False,
+                      field_types=SCALAR_TYPES) -> FieldDescriptor:
     if allow_message and sub_type_name and draw(st.booleans()):
         label = draw(st.sampled_from([Label.OPTIONAL, Label.REPEATED]))
         return FieldDescriptor(
             name=f"f{number}", number=number,
             field_type=FieldType.MESSAGE, label=label,
             type_name=sub_type_name)
-    field_type = draw(st.sampled_from(SCALAR_TYPES))
+    field_type = draw(st.sampled_from(field_types))
     label = draw(st.sampled_from(
         [Label.OPTIONAL, Label.OPTIONAL, Label.REPEATED]))
     packed = (label is Label.REPEATED and is_packable(field_type)
@@ -76,7 +93,9 @@ def field_descriptors(draw, number: int,
         oneof = "g"
     return FieldDescriptor(name=f"f{number}", number=number,
                            field_type=field_type, label=label,
-                           packed=packed, oneof_group=oneof)
+                           packed=packed, oneof_group=oneof,
+                           enum_type=(COLOR if field_type is FieldType.ENUM
+                                      else None))
 
 
 @st.composite
@@ -117,7 +136,7 @@ def schemas(draw) -> Schema:
 
 @st.composite
 def populated_messages(draw, descriptor: MessageDescriptor,
-                       depth: int = 0) -> Message:
+                       depth: int = 0, allow_nan: bool = False) -> Message:
     """A random message of the given type with random field presence."""
     message = descriptor.new_message()
     for fd in descriptor.fields:
@@ -135,7 +154,8 @@ def populated_messages(draw, descriptor: MessageDescriptor,
             if depth >= 2:
                 continue
             children = draw(st.lists(
-                populated_messages(fd.message_type, depth=depth + 1),
+                populated_messages(fd.message_type, depth=depth + 1,
+                                   allow_nan=allow_nan),
                 min_size=1, max_size=3 if fd.is_repeated else 1))
             if fd.is_repeated:
                 for child in children:
@@ -145,11 +165,11 @@ def populated_messages(draw, descriptor: MessageDescriptor,
                 message[fd.name] = children[0]
             continue
         if fd.is_repeated:
-            values = draw(st.lists(value_strategy(fd.field_type),
+            values = draw(st.lists(value_strategy(fd.field_type, allow_nan),
                                    min_size=1, max_size=5))
             message[fd.name] = values
         else:
-            message[fd.name] = draw(value_strategy(fd.field_type))
+            message[fd.name] = draw(value_strategy(fd.field_type, allow_nan))
     return message
 
 
@@ -159,6 +179,36 @@ def schema_and_message(draw):
     schema = draw(schemas())
     message = draw(populated_messages(schema["Root"]))
     return schema, message
+
+
+@st.composite
+def image_schemas(draw) -> Schema:
+    """A self-recursive ``Node`` type for object-image tests: every field
+    type (enums included), a oneof group, a ``Node`` sub-message field,
+    and half the time a field number past 128, so the hasbits array
+    spans several 64-bit words."""
+    numbers = draw(st.sets(st.integers(min_value=1, max_value=60),
+                           min_size=1, max_size=10))
+    if draw(st.booleans()):
+        numbers.add(draw(st.integers(min_value=129, max_value=200)))
+    fields = [
+        draw(field_descriptors(number, allow_message=True,
+                               sub_type_name="Node", allow_oneof=True,
+                               field_types=IMAGE_TYPES))
+        for number in sorted(numbers)
+    ]
+    schema = Schema()
+    schema.add_enum(COLOR)
+    schema.add_message(MessageDescriptor("Node", fields))
+    schema.resolve()
+    return schema
+
+
+@st.composite
+def image_schema_and_message(draw):
+    """A (schema, Node message) pair whose floats may be NaN or infinite."""
+    schema = draw(image_schemas())
+    return schema, draw(populated_messages(schema["Node"], allow_nan=True))
 
 
 @st.composite
